@@ -23,9 +23,9 @@ speed cancels out of the ratio; only genuine kernel-relative slowdowns
 trip it.  With ``--baseline`` (default: the checked-in
 ``baseline_simkernel.json`` next to this script) the run fails when the
 calibrated ratio drops more than ``--max-regression`` (default 30%)
-below the baseline's.  Baselines lacking anchor fields (recorded before
-calibration existed) fall back to the legacy absolute events/sec floor.
-Re-record with ``--record`` after intentional kernel-perf changes.
+below the baseline's.  A baseline without ``calibrated_ratio`` is an
+error (exit status 2).  Re-record with ``--record`` after intentional
+kernel-perf changes.
 
 Run:  python benchmarks/perf/bench_simkernel.py [--iterations 100]
       python benchmarks/perf/bench_simkernel.py --iterations 20 --repeats 2
@@ -182,6 +182,18 @@ def main(argv=None) -> int:
                         help="overwrite the baseline with this run")
     args = parser.parse_args(argv)
 
+    baseline = None
+    if not args.record and args.baseline.exists():
+        try:
+            baseline = json.loads(args.baseline.read_text())
+        except ValueError:
+            pass
+        if not isinstance(baseline, dict) or "calibrated_ratio" not in baseline:
+            print(f"bench_simkernel: error: baseline {args.baseline} has no "
+                  f"calibrated_ratio; re-record it with --record",
+                  file=sys.stderr)
+            return 2
+
     report = measure(args.iterations, args.repeats)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"[bench] {report['events']} simulated events, "
@@ -205,35 +217,21 @@ def main(argv=None) -> int:
         print(f"[bench] baseline recorded: {args.baseline}")
         return 0
 
-    if not args.baseline.exists():
+    if baseline is None:
         print(f"[bench] no baseline at {args.baseline}; gate skipped")
         return 0
-    baseline = json.loads(args.baseline.read_text())
-    if "calibrated_ratio" in baseline:
-        ratio = report["calibrated_ratio"]
-        floor = baseline["calibrated_ratio"] * (1.0 - args.max_regression)
-        if ratio < floor:
-            print(f"[bench] FAIL: calibrated ratio {ratio:.4f} "
-                  f"(events/sec over anchor ops/sec) is below the "
-                  f"regression floor {floor:.4f} "
-                  f"(baseline {baseline['calibrated_ratio']:.4f}, "
-                  f"max regression {args.max_regression:.0%})")
-            return 1
-        print(f"[bench] gate ok: calibrated ratio {ratio:.4f} >= "
-              f"floor {floor:.4f} "
-              f"(anchor {report['anchor_ops_per_sec']:.0f} ops/sec)")
-        return 0
-    # Legacy baseline (no anchor fields): absolute machine-dependent gate.
-    floor = baseline["events_per_sec"] * (1.0 - args.max_regression)
-    if report["events_per_sec"] < floor:
-        print(f"[bench] FAIL: {report['events_per_sec']:.0f} events/sec is "
-              f"below the regression floor {floor:.0f} "
-              f"(baseline {baseline['events_per_sec']:.0f}, "
+    ratio = report["calibrated_ratio"]
+    floor = baseline["calibrated_ratio"] * (1.0 - args.max_regression)
+    if ratio < floor:
+        print(f"[bench] FAIL: calibrated ratio {ratio:.4f} "
+              f"(events/sec over anchor ops/sec) is below the "
+              f"regression floor {floor:.4f} "
+              f"(baseline {baseline['calibrated_ratio']:.4f}, "
               f"max regression {args.max_regression:.0%})")
         return 1
-    print(f"[bench] gate ok: {report['events_per_sec']:.0f} >= "
-          f"floor {floor:.0f} events/sec (legacy absolute gate; "
-          f"re-record to calibrate)")
+    print(f"[bench] gate ok: calibrated ratio {ratio:.4f} >= "
+          f"floor {floor:.4f} "
+          f"(anchor {report['anchor_ops_per_sec']:.0f} ops/sec)")
     return 0
 
 

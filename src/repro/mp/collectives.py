@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence
 
 from .comm import Comm
+from .vec import as_vec, to_list, vec_add
 
 __all__ = [
     "barrier",
@@ -102,9 +103,9 @@ def allreduce_sum(comm: Comm, values: Sequence[Any]) -> Any:
     Returns the fully reduced vector (a new list).
     """
     n = comm.nprocs
-    acc = list(values)
+    acc = as_vec(values)
     if n == 1:
-        return acc
+        return to_list(acc)
     seq = _next_seq(comm)
     monitor = _san_monitor(comm)
     if monitor is not None:
@@ -131,7 +132,7 @@ def allreduce_sum(comm: Comm, values: Sequence[Any]) -> Any:
             msg = yield from comm.recv(
                 source=rank + pof2, tag=_tag(_TAG_ALLREDUCE, seq, round_no)
             )
-            acc = [a + b for a, b in zip(acc, msg.payload)]
+            acc = vec_add(acc, msg.payload)
         round_no += 1
 
     if core_rank is not None:
@@ -144,7 +145,7 @@ def allreduce_sum(comm: Comm, values: Sequence[Any]) -> Any:
                 tag=_tag(_TAG_ALLREDUCE, seq, round_no),
                 payload_bytes=nbytes,
             )
-            acc = [a + b for a, b in zip(acc, msg.payload)]
+            acc = vec_add(acc, msg.payload)
             x *= 2
             round_no += 1
     else:
@@ -166,10 +167,10 @@ def allreduce_sum(comm: Comm, values: Sequence[Any]) -> Any:
             msg = yield from comm.recv(
                 source=rank - pof2, tag=_tag(_TAG_ALLREDUCE, seq, round_no)
             )
-            acc = list(msg.payload)
+            acc = msg.payload
     if monitor is not None:
         monitor.emit("coll_exit", coll="allreduce", epoch=seq)
-    return acc
+    return to_list(acc)
 
 
 def allreduce_sum_fig2(comm: Comm, values: Sequence[Any]) -> Any:
@@ -192,9 +193,9 @@ def allreduce_sum_fig2(comm: Comm, values: Sequence[Any]) -> Any:
     n = comm.nprocs
     if n & (n - 1):
         raise ValueError(f"Figure 2 requires a power-of-two process count, got {n}")
-    acc = list(values)
+    acc = as_vec(values)
     if n == 1:
-        return acc
+        return to_list(acc)
     seq = _next_seq(comm)
     monitor = _san_monitor(comm)
     if monitor is not None:
@@ -208,12 +209,12 @@ def allreduce_sum_fig2(comm: Comm, values: Sequence[Any]) -> Any:
             partner, acc, tag=_tag(_TAG_ALLREDUCE, seq, round_no),
             payload_bytes=nbytes,
         )
-        acc = [a + b for a, b in zip(acc, msg.payload)]
+        acc = vec_add(acc, msg.payload)
         x //= 2
         round_no += 1
     if monitor is not None:
         monitor.emit("coll_exit", coll="allreduce", epoch=seq)
-    return acc
+    return to_list(acc)
 
 
 def bcast(comm: Comm, value: Any = None, root: int = 0) -> Any:
@@ -420,15 +421,15 @@ def resilient_allreduce_sum(comm: Comm, membership, values: Sequence[Any], inst:
         epoch0 = membership.epoch
         entry = membership.ledger_get(key)
         if entry is not None and entry[1] < epoch0:
-            return list(entry[0]), entry[1]
+            return to_list(entry[0]), entry[1]
         try:
             totals = yield from _allreduce_survivors(
                 comm, membership, values, inst, epoch0
             )
         except _EpochChanged:
             continue
-        membership.ledger_put(key, list(totals), epoch=epoch0)
-        return totals, epoch0
+        membership.ledger_put(key, totals, epoch=epoch0)
+        return to_list(totals), epoch0
 
 
 def _allreduce_survivors(comm: Comm, membership, values, inst: int, epoch0: int):
@@ -436,13 +437,13 @@ def _allreduce_survivors(comm: Comm, membership, values, inst: int, epoch0: int)
     me = comm.rank
     if me not in ranks:  # pragma: no cover - dead ranks' processes are killed
         raise _EpochChanged()
-    acc = list(values)
+    acc = as_vec(values)
     vrank = ranks.index(me)
     if vrank == 0:
         # The lowest survivor contributes the dead ranks' snapshots so the
         # totals remain comparable with the targets' cumulative op_done.
         extra = membership.dead_contribution(epoch0)
-        acc = [a + b for a, b in zip(acc, extra)]
+        acc = vec_add(acc, extra)
     n = len(ranks)
     if n == 1:
         return acc
@@ -469,7 +470,7 @@ def _allreduce_survivors(comm: Comm, membership, values, inst: int, epoch0: int)
                 comm, membership, ranks[vrank + pof2],
                 _chaos_tag(chan, epoch0, round_no), epoch0, restart,
             )
-            acc = [a + b for a, b in zip(acc, msg.payload)]
+            acc = vec_add(acc, msg.payload)
         round_no += 1
 
     x = 1
@@ -481,7 +482,7 @@ def _allreduce_survivors(comm: Comm, membership, values, inst: int, epoch0: int)
             msg = yield from _resilient_recv(
                 comm, membership, partner, tag, epoch0, restart
             )
-            acc = [a + b for a, b in zip(acc, msg.payload)]
+            acc = vec_add(acc, msg.payload)
         x *= 2
         round_no += 1
 
@@ -495,7 +496,7 @@ def _allreduce_survivors(comm: Comm, membership, values, inst: int, epoch0: int)
             msg = yield from _resilient_recv(
                 comm, membership, ranks[vrank - pof2], tag, epoch0, restart
             )
-            acc = list(msg.payload)
+            acc = msg.payload
     return acc
 
 

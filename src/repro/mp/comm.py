@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
+import numpy as np
+
 from ..net.fabric import Fabric
 from ..net.message import Envelope, mp_endpoint
 from ..net.params import SMALL_MSG_BYTES, NetworkParams
@@ -141,7 +143,7 @@ def _estimate_bytes(payload: Any) -> int:
     """Rough wire size of a payload: 8 bytes per scalar element."""
     if payload is None:
         return 0
-    if isinstance(payload, (list, tuple)):
+    if isinstance(payload, (list, tuple, np.ndarray)):
         return max(8 * len(payload), 8)
     if isinstance(payload, (int, float, bool)):
         return 8

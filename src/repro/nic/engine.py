@@ -29,8 +29,9 @@ never request the NIC path construct nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List
 
+from ..mp.vec import as_vec, vec_add
 from ..net.message import nic_endpoint
 from ..sim.core import Event
 from ..sim.primitives import Broadcast, FilterStore
@@ -51,7 +52,8 @@ class NicFrame:
     epoch: int
     phase: str
     src_node: int
-    values: Optional[List[int]] = None
+    #: Vector payload (a numpy array, never mutated once sent).
+    values: Any = None
 
 
 class _EpochState:
@@ -60,13 +62,13 @@ class _EpochState:
     __slots__ = ("rows", "release", "all_rows", "proc", "totals")
 
     def __init__(self, env):
-        self.rows: Dict[int, List[int]] = {}
+        self.rows: Dict[int, Any] = {}
         self.release: Dict[int, Event] = {}
         self.all_rows = env.event()
         self.proc = None
-        #: Stage-1 result, published so crash recovery can complete a
-        #: committed epoch on behalf of an engine wedged in stage 3.
-        self.totals: Optional[List[int]] = None
+        #: Stage-1 result vector, published so crash recovery can complete
+        #: a committed epoch on behalf of an engine wedged in stage 3.
+        self.totals: Any = None
 
 
 def ensure_engines(armci: "Armci") -> Dict[int, "NicEngine"]:
@@ -167,7 +169,7 @@ class NicEngine:
         state = self._epoch_state(epoch)
         release = self.env.event()
         state.release[rank] = release
-        row_copy = list(row)
+        row_copy = as_vec(row)
         delay = p.nic_dma_us + SLOT_BYTES * len(row_copy) * p.nic_dma_per_byte_us
         arrive = self.env.timeout(delay)
         arrive.callbacks.append(
@@ -222,7 +224,7 @@ class NicEngine:
                     "nic_release", epoch=epoch, node=self.node, rank=rank,
                     n=self.nprocs, forced=True,
                 )
-                release.succeed(state.totals[rank])
+                release.succeed(int(state.totals[rank]))
 
     # -- NIC-internal --------------------------------------------------------
 
@@ -232,7 +234,7 @@ class NicEngine:
             state = self._epochs[epoch] = _EpochState(self.env)
         return state
 
-    def _row_arrived(self, epoch: int, rank: int, row: List[int]) -> None:
+    def _row_arrived(self, epoch: int, rank: int, row) -> None:
         if self.dead:
             return
         state = self._epochs.get(epoch)
@@ -263,12 +265,10 @@ class NicEngine:
         yield state.all_rows
 
         # Local combine: fold each hosted rank's doorbell row.
-        partial = [0] * self.nprocs
+        partial = as_vec([0] * self.nprocs)
         for rank in sorted(state.rows):
             yield from self._proc_step()
-            row = state.rows[rank]
-            for i, v in enumerate(row):
-                partial[i] += v
+            partial = vec_add(partial, state.rows[rank])
             self._emit(
                 "nic_combine", epoch=epoch, node=self.node,
                 src="doorbell", rank=rank,
@@ -279,11 +279,11 @@ class NicEngine:
             totals = yield from self._tree_sum(epoch, partial)
         else:
             totals = yield from self._exchange_sum(epoch, partial)
-        state.totals = list(totals)
+        state.totals = totals
 
         # Stage 2: wait on the op_done mirror for every hosted rank.
         for rank in self.hosted:
-            target = totals[rank]
+            target = int(totals[rank])
             while self.mirror[rank] < target:
                 yield self._mirror_signal.wait()
             yield from self._proc_step()
@@ -310,7 +310,7 @@ class NicEngine:
                 n=self.nprocs,
             )
             self._schedule_release(
-                state.release[rank], totals[rank],
+                state.release[rank], int(totals[rank]),
                 p.nic_dma_us + p.poll_detect_us,
             )
 
@@ -332,10 +332,7 @@ class NicEngine:
             "nic_combine", epoch=epoch, node=self.node,
             src="send", phase=phase, peer=dst_node,
         )
-        payload = NicFrame(
-            epoch, phase, self.node,
-            list(values) if values is not None else None,
-        )
+        payload = NicFrame(epoch, phase, self.node, values)
         nbytes = SLOT_BYTES * (len(values) if values is not None else 1)
         # src identity ("nic", node) keeps reliable-delivery channels (and
         # their retransmit state) distinct per sending NIC, and is invisible
@@ -367,11 +364,10 @@ class NicEngine:
 
     # -- stage-1 / stage-3 algorithms ----------------------------------------
 
-    def _exchange_sum(self, epoch: int, values: List[int]):
+    def _exchange_sum(self, epoch: int, vec):
         """Recursive-doubling elementwise sum over nodes (non-pow2 folds)."""
         nodes = self.topology.nnodes
         me = self.node
-        vec = list(values)
         if nodes == 1:
             return vec
         pow2 = 1 << (nodes.bit_length() - 1)
@@ -379,16 +375,16 @@ class NicEngine:
         if me >= pow2:
             yield from self._send_frame(epoch, "s1-fold", me - pow2, vec)
             frame = yield from self._recv_frame(epoch, "s1-res", me - pow2)
-            return list(frame.values)
+            return frame.values
         if me < rem:
             frame = yield from self._recv_frame(epoch, "s1-fold", me + pow2)
-            vec = [a + b for a, b in zip(vec, frame.values)]
+            vec = vec_add(vec, frame.values)
         dist, phase = 1, 0
         while dist < pow2:
             peer = me ^ dist
             yield from self._send_frame(epoch, f"s1-x{phase}", peer, vec)
             frame = yield from self._recv_frame(epoch, f"s1-x{phase}", peer)
-            vec = [a + b for a, b in zip(vec, frame.values)]
+            vec = vec_add(vec, frame.values)
             dist <<= 1
             phase += 1
         if me < rem:
@@ -409,18 +405,17 @@ class NicEngine:
         nodes = self.topology.nnodes
         return [c for c in (2 * self.node + 1, 2 * self.node + 2) if c < nodes]
 
-    def _tree_sum(self, epoch: int, values: List[int]):
+    def _tree_sum(self, epoch: int, vec):
         """Binary combining tree (heap order, root = node 0): up then down."""
         me = self.node
-        vec = list(values)
         for child in self._children():
             frame = yield from self._recv_frame(epoch, "t-up", child)
-            vec = [a + b for a, b in zip(vec, frame.values)]
+            vec = vec_add(vec, frame.values)
         if me != 0:
             parent = (me - 1) // 2
             yield from self._send_frame(epoch, "t-up", parent, vec)
             frame = yield from self._recv_frame(epoch, "t-dn", parent)
-            vec = list(frame.values)
+            vec = frame.values
         for child in self._children():
             yield from self._send_frame(epoch, "t-dn", child, vec)
         return vec

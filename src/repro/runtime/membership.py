@@ -65,10 +65,13 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
+from ..mp.vec import as_vec, vec_add
 from ..net.message import Endpoint
 from ..sim.core import Process
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .cluster import ClusterRuntime
 
 __all__ = ["MembershipService", "Lease"]
@@ -1027,7 +1030,7 @@ class MembershipService:
                 total += owed
         return total
 
-    def dead_contribution(self, epoch: int) -> List[int]:
+    def dead_contribution(self, epoch: int) -> np.ndarray:
         """Elementwise sum of kill-time ``op_init`` snapshots of ranks dead
         in ``epoch``'s view.
 
@@ -1036,13 +1039,12 @@ class MembershipService:
         the targets' ``op_done`` counters are lifetime-cumulative and
         already include everything dead ranks completed before crashing.
         """
-        acc = [0] * self.topology.nprocs
+        acc = as_vec([0] * self.topology.nprocs)
         view = set(self._views.get(epoch, ()))
         for dead, snapshot in self._op_init_snapshot.items():
             if dead in view:
                 continue  # will contribute live (or force a view change)
-            for i, v in enumerate(snapshot):
-                acc[i] += v
+            acc = vec_add(acc, snapshot)
         return acc
 
     # -- completion ledger -------------------------------------------------------

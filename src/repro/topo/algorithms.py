@@ -45,6 +45,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Sequence
 
 from ..mp import collectives
+from ..mp.vec import as_vec, vec_add
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..armci.api import Armci
@@ -121,7 +122,7 @@ def _allreduce_over(
     list — the leaders of the two-level barrier.  Only members call it.
     """
     n = len(ranks)
-    acc = list(values)
+    acc = as_vec(values)
     if n == 1:
         return acc
     vrank = ranks.index(comm.rank)
@@ -145,7 +146,7 @@ def _allreduce_over(
             msg = yield from comm.recv(
                 source=ranks[vrank + pof2], tag=_tag(base, seq, round_no)
             )
-            acc = [a + b for a, b in zip(acc, msg.payload)]
+            acc = vec_add(acc, msg.payload)
         round_no += 1
 
     x = 1
@@ -155,7 +156,7 @@ def _allreduce_over(
             msg = yield from comm.sendrecv(
                 partner, acc, tag=_tag(base, seq, round_no), payload_bytes=nbytes
             )
-            acc = [a + b for a, b in zip(acc, msg.payload)]
+            acc = vec_add(acc, msg.payload)
         x *= 2
         round_no += 1
 
@@ -167,7 +168,7 @@ def _allreduce_over(
             )
         elif vrank >= pof2:
             msg = yield from comm.recv(source=ranks[vrank - pof2], tag=tag)
-            acc = list(msg.payload)
+            acc = msg.payload
     return acc
 
 
@@ -217,12 +218,12 @@ def kary_sync(armci: "Armci"):
     nbytes = 8 * n
 
     # Stage 1a: reduce op_init vectors up the tree.
-    acc = list(armci.op_init)
+    acc = as_vec(armci.op_init)
     for child in children:
         msg = yield from comm.recv(
             source=child, tag=_tag(_TAG_KARY, seq, _R_GATHER)
         )
-        acc = [a + b for a, b in zip(acc, msg.payload)]
+        acc = vec_add(acc, msg.payload)
     if rank != 0:
         yield from comm.send(
             parent, acc, tag=_tag(_TAG_KARY, seq, _R_GATHER), payload_bytes=nbytes
@@ -240,7 +241,7 @@ def kary_sync(armci: "Armci"):
         )
 
     # Stage 2: local completion.
-    yield from _stage2_wait(armci, totals[rank])
+    yield from _stage2_wait(armci, int(totals[rank]))
 
     # Stage 3: zero-byte gather + release over the same tree.
     for child in children:
@@ -279,7 +280,7 @@ def dissemination_sync(armci: "Armci"):
     if n & (n - 1):
         totals = yield from collectives.allreduce_sum(comm, armci.op_init)
     else:
-        acc = list(armci.op_init)
+        acc = as_vec(armci.op_init)
         nbytes = 8 * n
         distance = 1
         round_no = _R_ALLREDUCE
@@ -291,12 +292,12 @@ def dissemination_sync(armci: "Armci"):
                 tag=_tag(_TAG_DISSEM, seq, round_no),
                 payload_bytes=nbytes,
             )
-            acc = [a + b for a, b in zip(acc, msg.payload)]
+            acc = vec_add(acc, msg.payload)
             distance *= 2
             round_no += 1
         totals = acc
 
-    yield from _stage2_wait(armci, totals[rank])
+    yield from _stage2_wait(armci, int(totals[rank]))
 
     yield from collectives.barrier(comm)
     if monitor is not None:
@@ -328,10 +329,10 @@ def twolevel_sync(armci: "Armci"):
     nbytes = 8 * armci.nprocs
 
     if rank == leader:
-        acc = list(armci.op_init)
+        acc = as_vec(armci.op_init)
         for _ in range(len(locals_) - 1):
             msg = yield from comm.recv(tag=_tag(_TAG_TWOLEVEL, seq, _R_GATHER))
-            acc = [a + b for a, b in zip(acc, msg.payload)]
+            acc = vec_add(acc, msg.payload)
         leaders = [topology.ranks_on(node)[0] for node in range(topology.nnodes)]
         totals = yield from _allreduce_over(
             comm, acc, leaders, _TAG_TWOLEVEL, seq, _R_ALLREDUCE
@@ -339,10 +340,10 @@ def twolevel_sync(armci: "Armci"):
         for r in locals_:
             if r != leader:
                 yield from comm.send(
-                    r, totals[r], tag=_tag(_TAG_TWOLEVEL, seq, _R_SCATTER),
+                    r, int(totals[r]), tag=_tag(_TAG_TWOLEVEL, seq, _R_SCATTER),
                     payload_bytes=8,
                 )
-        target = totals[rank]
+        target = int(totals[rank])
     else:
         yield from comm.send(
             leader, armci.op_init, tag=_tag(_TAG_TWOLEVEL, seq, _R_GATHER),

@@ -1,5 +1,6 @@
 """Unit tests for point-to-point messaging."""
 
+import numpy as np
 import pytest
 
 from repro.mp.comm import ANY_SOURCE, ANY_TAG, Comm, _estimate_bytes
@@ -129,6 +130,11 @@ class TestEstimateBytes:
     def test_sequences(self):
         assert _estimate_bytes([1, 2, 3]) == 24
         assert _estimate_bytes(()) == 8
+
+    def test_arrays_price_like_lists(self):
+        for values in ([1, 2, 3], [0.5] * 1024, [7]):
+            assert _estimate_bytes(np.asarray(values)) == _estimate_bytes(values)
+        assert _estimate_bytes(np.asarray([], dtype=np.int64)) == _estimate_bytes([])
 
     def test_none_and_bytes(self):
         assert _estimate_bytes(None) == 0
