@@ -374,21 +374,19 @@ def _auto_select(armci: "Armci") -> str:
     """
     params = armci.params
     nprocs = armci.nprocs
+    topology = armci.topology
+    ppn = max(len(topology.ranks_on(n)) for n in range(topology.nnodes))
     estimates = {
         "linear": estimate_linear_us(params, nprocs, len(armci.dirty_nodes)),
         "exchange": estimate_exchange_us(params, nprocs),
     }
     if params.nic_offload:
-        topology = armci.topology
-        ppn = max(len(topology.ranks_on(n)) for n in range(topology.nnodes))
         estimates["nic"] = estimate_nic_us(params, nprocs, topology.nnodes, ppn)
     if params.hierarchy is not None:
         # Topology-aware candidates join the comparison only under a
         # hierarchy, so flat auto-selections stay byte-identical.  ppn
         # and the hierarchy are globally agreed, preserving the
         # symmetric-decision contract.
-        topology = armci.topology
-        ppn = max(len(topology.ranks_on(n)) for n in range(topology.nnodes))
         estimates["exchange"] = estimate_exchange_us(params, nprocs, ppn=ppn)
         estimates["kary"] = estimate_kary_us(params, nprocs, ppn=ppn)
         estimates["dissemination"] = estimate_dissemination_us(
@@ -479,20 +477,31 @@ def _exchange(armci: "Armci"):
     totals = yield from collectives.allreduce_sum(armci.comm, armci.op_init)
 
     # Stage 2: poll the server's op_done counter for our own slot.
+    yield from _stage2_wait(armci, totals[armci.rank])
+
+    # Stage 3: binary-exchange barrier synchronization.  Ranks that fell
+    # back in stage 2 still join the same collective, so mixed outcomes
+    # cannot deadlock.
+    yield from collectives.barrier(armci.comm)
+
+
+def _stage2_wait(armci: "Armci", target):
+    """Stage 2: poll the local server's ``op_done`` counter up to ``target``.
+
+    Shared by every host algorithm.  With a watchdog armed, a counter
+    that stops making progress for a full window (a stalled server, or
+    an operation lost on an unreliable network without the retransmit
+    layer, so the counter will never reach the target) degrades the rank
+    to the conservative path — explicit per-server confirmation round
+    trips, which do not depend on the counter — and counts the fallback.
+    """
     region, addr = armci.server.op_done_cell(armci.rank)
-    target = totals[armci.rank]
     watchdog_us = armci.params.watchdog_timeout_us
     if watchdog_us > 0.0:
         done = yield from _stage2_wait_with_watchdog(
             armci, region, addr, target, watchdog_us
         )
         if not done:
-            # The op_done counter stopped making progress for a full
-            # watchdog window: a server is stalled, or (on an unreliable
-            # network without the retransmit layer) an operation was lost
-            # and the counter will never reach the target.  Degrade to the
-            # conservative path — explicit per-server confirmation round
-            # trips, which do not depend on the counter — and count it.
             from . import fence as fence_mod
 
             armci.stats["barrier_fallbacks"] = (
@@ -503,11 +512,6 @@ def _exchange(armci: "Armci"):
         yield from region.wait_until(
             addr, lambda v: v >= target, poll_detect_us=armci.params.poll_detect_us
         )
-
-    # Stage 3: binary-exchange barrier synchronization.  Ranks that fell
-    # back in stage 2 still join the same collective, so mixed outcomes
-    # cannot deadlock.
-    yield from collectives.barrier(armci.comm)
 
 
 def _exchange_resilient(armci: "Armci"):
@@ -529,18 +533,18 @@ def _exchange_resilient(armci: "Armci"):
     yield from membership.freeze_gate(armci.rank)
     inst = armci._chaos_barrier_seq
     armci._chaos_barrier_seq = inst + 1
-    if membership._transient:
-        entry = membership.ledger_get(("allreduce", inst))
-        if entry is not None and entry[1] < membership.epoch:
-            # This instance completed in the majority while we were cut
-            # off: we will adopt its recorded result instead of re-running
-            # the exchange, so the collective cannot transitively fence
-            # *our* outstanding operations (nobody waits on our op_init).
-            # Fence them explicitly to keep the barrier's fence-inclusion
-            # guarantee for the rejoined rank.
-            from .fence import allfence_linear
+    if membership._transient and collectives._adopted(
+        membership, ("allreduce", inst), membership.epoch
+    ):
+        # This instance completed in the majority while we were cut off:
+        # we will adopt its recorded result instead of re-running the
+        # exchange, so the collective cannot transitively fence *our*
+        # outstanding operations (nobody waits on our op_init).  Fence
+        # them explicitly to keep the barrier's fence-inclusion guarantee
+        # for the rejoined rank.
+        from .fence import allfence_linear
 
-            yield from allfence_linear(armci)
+        yield from allfence_linear(armci)
     totals, result_epoch = yield from collectives.resilient_allreduce_sum(
         armci.comm, membership, armci.op_init, inst
     )

@@ -8,6 +8,11 @@ The paper's new ``ARMCI_Barrier()`` leans on two collectives:
   realized here as a dissemination barrier, which has the identical
   ``ceil(log2 N)`` one-latency phases and also handles non-powers-of-two.
 
+Both, and their crash-resilient survivor variants, run the step lists of
+:mod:`repro.mp.schedule` through :func:`run_on_comm` (or the survivor
+transport), so each communication pattern is written once;
+:func:`allreduce_sum_fig2` stays as the paper's line-by-line reference.
+
 All collectives are sub-generators over a :class:`~repro.mp.comm.Comm` and
 assume SPMD call order (every rank invokes the same collectives in the same
 order); a per-communicator sequence number keeps concurrent invocations'
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence
 
+from . import schedule
 from .comm import Comm
 from .vec import as_vec, to_list, vec_add
 
@@ -31,6 +37,7 @@ __all__ = [
     "alltoall",
     "resilient_allreduce_sum",
     "resilient_barrier",
+    "run_on_comm",
 ]
 
 _TAG_BARRIER = 1 << 24
@@ -63,6 +70,35 @@ def _tag(base: int, seq: int, round_no: int) -> int:
     return base + (seq % 4096) * _ROUND_STRIDE + round_no
 
 
+def _nbytes(payload) -> int:
+    """Wire size of a schedule payload: 8 bytes per slot, 0 for a signal."""
+    return 0 if payload is None else 8 * len(payload)
+
+
+def run_on_comm(comm: Comm, steps, acc, base: int, seq: int,
+                rounds: Sequence[int] = range(_ROUND_STRIDE),
+                ranks: Optional[Sequence[int]] = None):
+    """Sub-generator: run a :mod:`~repro.mp.schedule` step list over ``comm``.
+
+    Schedule round ``r`` is tagged ``_tag(base, seq, rounds[r])``; virtual
+    rank ``v`` is real rank ``ranks[v]`` (all of ``comm`` by default).
+    Returns the final accumulator (``None`` for a barrier).
+    """
+    if ranks is None:
+        ranks = range(comm.nprocs)
+    tag0 = _tag(base, seq, 0)
+
+    def send(peer, rnd, payload):
+        return comm.send(
+            ranks[peer], payload, tag=tag0 + rounds[rnd], payload_bytes=_nbytes(payload)
+        )
+
+    def recv(peer, rnd):
+        return comm.recv(source=ranks[peer], tag=tag0 + rounds[rnd])
+
+    return schedule.run(steps, acc, send, recv)
+
+
 def barrier(comm: Comm):
     """Dissemination barrier: ceil(log2 N) overlapped sendrecv phases.
 
@@ -77,16 +113,9 @@ def barrier(comm: Comm):
     monitor = _san_monitor(comm)
     if monitor is not None:
         monitor.emit("coll_enter", coll="barrier", epoch=seq)
-    rank = comm.rank
-    distance = 1
-    round_no = 0
-    while distance < n:
-        dst = (rank + distance) % n
-        src = (rank - distance) % n
-        tag = _tag(_TAG_BARRIER, seq, round_no)
-        yield from comm.sendrecv(dst, None, source=src, tag=tag, payload_bytes=0)
-        distance *= 2
-        round_no += 1
+    yield from run_on_comm(
+        comm, schedule.dissemination(comm.rank, n), None, _TAG_BARRIER, seq
+    )
     if monitor is not None:
         monitor.emit("coll_exit", coll="barrier", epoch=seq)
 
@@ -103,71 +132,18 @@ def allreduce_sum(comm: Comm, values: Sequence[Any]) -> Any:
     Returns the fully reduced vector (a new list).
     """
     n = comm.nprocs
-    acc = as_vec(values)
     if n == 1:
-        return to_list(acc)
+        return to_list(as_vec(values))
     seq = _next_seq(comm)
     monitor = _san_monitor(comm)
     if monitor is not None:
         monitor.emit("coll_enter", coll="allreduce", epoch=seq)
-    rank = comm.rank
-    nbytes = 8 * len(acc)
-
-    pof2 = 1
-    while pof2 * 2 <= n:
-        pof2 *= 2
-    rem = n - pof2
-
-    round_no = 0
-    core_rank: Optional[int] = rank  # rank within the power-of-two core
-    if rem:
-        # Extras are ranks [pof2, n); extra i folds into partner i - pof2.
-        if rank >= pof2:
-            partner = rank - pof2
-            yield from comm.send(
-                partner, acc, tag=_tag(_TAG_ALLREDUCE, seq, round_no), payload_bytes=nbytes
-            )
-            core_rank = None
-        elif rank < rem:
-            msg = yield from comm.recv(
-                source=rank + pof2, tag=_tag(_TAG_ALLREDUCE, seq, round_no)
-            )
-            acc = vec_add(acc, msg.payload)
-        round_no += 1
-
-    if core_rank is not None:
-        x = 1
-        while x < pof2:
-            partner = rank ^ x
-            msg = yield from comm.sendrecv(
-                partner,
-                acc,
-                tag=_tag(_TAG_ALLREDUCE, seq, round_no),
-                payload_bytes=nbytes,
-            )
-            acc = vec_add(acc, msg.payload)
-            x *= 2
-            round_no += 1
-    else:
-        # Extras skip the core's log2(pof2) rounds.
-        x = 1
-        while x < pof2:
-            x *= 2
-            round_no += 1
-
-    if rem:
-        if rank < rem:
-            yield from comm.send(
-                rank + pof2,
-                acc,
-                tag=_tag(_TAG_ALLREDUCE, seq, round_no),
-                payload_bytes=nbytes,
-            )
-        elif rank >= pof2:
-            msg = yield from comm.recv(
-                source=rank - pof2, tag=_tag(_TAG_ALLREDUCE, seq, round_no)
-            )
-            acc = msg.payload
+    # The input vector is not bound to a local, which would keep it alive
+    # for the whole exchange on every rank (8 KB each at N=1024).
+    acc = yield from run_on_comm(
+        comm, schedule.recursive_doubling(comm.rank, n), as_vec(values),
+        _TAG_ALLREDUCE, seq,
+    )
     if monitor is not None:
         monitor.emit("coll_exit", coll="allreduce", epoch=seq)
     return to_list(acc)
@@ -368,22 +344,19 @@ def _chaos_tag(inst: int, epoch: int, round_no: int) -> int:
     return _TAG_CHAOS | ((inst % 1024) << 14) | ((epoch % 256) << 6) | (round_no % 64)
 
 
-def _adoption_check(membership, key, epoch0):
-    """True once the instance completed under an epoch older than ours."""
-
-    def check() -> bool:
-        entry = membership.ledger_get(key)
-        return entry is not None and entry[1] < epoch0
-
-    return check
+def _adopted(membership, key, epoch0: int):
+    """The ledger entry of ``key`` if it completed under an epoch older
+    than ``epoch0`` (else ``None``)."""
+    entry = membership.ledger_get(key)
+    return entry if entry is not None and entry[1] < epoch0 else None
 
 
-def _resilient_recv(comm: Comm, membership, source: int, tag: int, epoch0: int, restart_check):
+def _resilient_recv(comm: Comm, membership, source: int, tag: int, epoch0: int, key):
     """Receive that polls liveness instead of blocking indefinitely.
 
-    Raises :class:`_EpochChanged` if the membership epoch moves past
-    ``epoch0`` — or if ``restart_check`` reports the whole instance already
-    completed — while no matching message has arrived.
+    Returns the received message.  Raises :class:`_EpochChanged` if the
+    membership epoch moves past ``epoch0`` — or if instance ``key``
+    already completed elsewhere — while no matching message has arrived.
     """
     env = comm.env
     poll_us = membership.params.membership_poll_us
@@ -393,9 +366,63 @@ def _resilient_recv(comm: Comm, membership, source: int, tag: int, epoch0: int, 
             if getattr(msg, "tag", None) == tag and getattr(msg, "src", None) == source:
                 received = yield from comm.recv(source=source, tag=tag)
                 return received
-        if membership.epoch != epoch0 or restart_check():
+        if membership.epoch != epoch0 or _adopted(membership, key, epoch0):
             raise _EpochChanged()
         yield env.timeout(poll_us)
+
+
+def _resilient(comm: Comm, membership, key, attempt):
+    """Run ``attempt(epoch0)`` until it completes under an unchanged view.
+
+    Returns ``(result, epoch)``: the attempt's result and the view epoch it
+    ran under, or the ledger entry of an instance that already completed
+    under an older epoch (the finished ranks will not re-participate).
+    """
+    while True:
+        if not membership.in_view(comm.rank):
+            # Excluded (partition minority): wait out the freeze instead of
+            # spinning on a view that omits us.  The rejoin advances the
+            # epoch, so the adoption check below picks up the instance the
+            # majority completed in the meantime.  No-op for crash plans —
+            # a dead rank's process never runs.
+            yield from membership.freeze_gate(comm.rank)
+            continue
+        epoch0 = membership.epoch
+        entry = _adopted(membership, key, epoch0)
+        if entry is not None:
+            return entry
+        try:
+            result = yield from attempt(epoch0)
+        except _EpochChanged:
+            continue
+        membership.ledger_put(key, result, epoch=epoch0)
+        return result, epoch0
+
+
+def _survivor_run(comm: Comm, membership, key, chan: int, epoch0: int, build, acc=None):
+    """Sub-generator: schedule ``build(vrank, n)`` over the survivor view
+    of ``epoch0``.
+
+    Messages carry the view epoch in their tag (channel ``chan``), and
+    every receive abandons the instance when the view moves or ``key``
+    completes elsewhere.
+    """
+    ranks = membership.view(epoch0)
+    if comm.rank not in ranks:  # pragma: no cover - dead ranks' processes are killed
+        raise _EpochChanged()
+
+    def send(peer, rnd, payload):
+        return comm.send(
+            ranks[peer], payload, tag=_chaos_tag(chan, epoch0, rnd),
+            payload_bytes=_nbytes(payload),
+        )
+
+    def recv(peer, rnd):
+        return _resilient_recv(
+            comm, membership, ranks[peer], _chaos_tag(chan, epoch0, rnd), epoch0, key
+        )
+
+    return schedule.run(build(ranks.index(comm.rank), len(ranks)), acc, send, recv)
 
 
 def resilient_allreduce_sum(comm: Comm, membership, values: Sequence[Any], inst: int):
@@ -409,138 +436,29 @@ def resilient_allreduce_sum(comm: Comm, membership, values: Sequence[Any], inst:
     via ``membership.written_off``.
     """
     key = ("allreduce", inst)
-    while True:
-        if not membership.in_view(comm.rank):
-            # Excluded (partition minority): wait out the freeze instead of
-            # spinning on a view that omits us.  The rejoin advances the
-            # epoch, so the adoption check below picks up the instance the
-            # majority completed in the meantime.  No-op for crash plans —
-            # a dead rank's process never runs.
-            yield from membership.freeze_gate(comm.rank)
-            continue
-        epoch0 = membership.epoch
-        entry = membership.ledger_get(key)
-        if entry is not None and entry[1] < epoch0:
-            return to_list(entry[0]), entry[1]
-        try:
-            totals = yield from _allreduce_survivors(
-                comm, membership, values, inst, epoch0
-            )
-        except _EpochChanged:
-            continue
-        membership.ledger_put(key, totals, epoch=epoch0)
-        return to_list(totals), epoch0
 
+    def attempt(epoch0):
+        acc = as_vec(values)
+        if membership.view(epoch0)[0] == comm.rank:
+            # The lowest survivor contributes the dead ranks' snapshots so
+            # the totals remain comparable with the targets' cumulative
+            # op_done.
+            acc = vec_add(acc, membership.dead_contribution(epoch0))
+        # Channel 2*inst: distinct tags from this instance's barrier.
+        return _survivor_run(
+            comm, membership, key, 2 * inst, epoch0, schedule.recursive_doubling, acc
+        )
 
-def _allreduce_survivors(comm: Comm, membership, values, inst: int, epoch0: int):
-    ranks = membership.view(epoch0)
-    me = comm.rank
-    if me not in ranks:  # pragma: no cover - dead ranks' processes are killed
-        raise _EpochChanged()
-    acc = as_vec(values)
-    vrank = ranks.index(me)
-    if vrank == 0:
-        # The lowest survivor contributes the dead ranks' snapshots so the
-        # totals remain comparable with the targets' cumulative op_done.
-        extra = membership.dead_contribution(epoch0)
-        acc = vec_add(acc, extra)
-    n = len(ranks)
-    if n == 1:
-        return acc
-    restart = _adoption_check(membership, ("allreduce", inst), epoch0)
-    nbytes = 8 * len(acc)
-    chan = 2 * inst  # distinct tag channel from this instance's barrier
-
-    pof2 = 1
-    while pof2 * 2 <= n:
-        pof2 *= 2
-    rem = n - pof2
-
-    round_no = 0
-    in_core = True
-    if rem:
-        if vrank >= pof2:
-            yield from comm.send(
-                ranks[vrank - pof2], acc,
-                tag=_chaos_tag(chan, epoch0, round_no), payload_bytes=nbytes,
-            )
-            in_core = False
-        elif vrank < rem:
-            msg = yield from _resilient_recv(
-                comm, membership, ranks[vrank + pof2],
-                _chaos_tag(chan, epoch0, round_no), epoch0, restart,
-            )
-            acc = vec_add(acc, msg.payload)
-        round_no += 1
-
-    x = 1
-    while x < pof2:
-        if in_core:
-            partner = ranks[vrank ^ x]
-            tag = _chaos_tag(chan, epoch0, round_no)
-            yield from comm.send(partner, acc, tag=tag, payload_bytes=nbytes)
-            msg = yield from _resilient_recv(
-                comm, membership, partner, tag, epoch0, restart
-            )
-            acc = vec_add(acc, msg.payload)
-        x *= 2
-        round_no += 1
-
-    if rem:
-        tag = _chaos_tag(chan, epoch0, round_no)
-        if vrank < rem:
-            yield from comm.send(
-                ranks[vrank + pof2], acc, tag=tag, payload_bytes=nbytes
-            )
-        elif vrank >= pof2:
-            msg = yield from _resilient_recv(
-                comm, membership, ranks[vrank - pof2], tag, epoch0, restart
-            )
-            acc = msg.payload
-    return acc
+    totals, epoch = yield from _resilient(comm, membership, key, attempt)
+    return to_list(totals), epoch
 
 
 def resilient_barrier(comm: Comm, membership, inst: int):
     """Crash-aware dissemination barrier over the survivor view."""
     key = ("barrier", inst)
-    while True:
-        if not membership.in_view(comm.rank):
-            # See resilient_allreduce_sum: an excluded rank freezes here
-            # rather than busy-looping on a view it is not part of.
-            yield from membership.freeze_gate(comm.rank)
-            continue
-        epoch0 = membership.epoch
-        entry = membership.ledger_get(key)
-        if entry is not None and entry[1] < epoch0:
-            return
-        try:
-            yield from _barrier_survivors(comm, membership, inst, epoch0)
-        except _EpochChanged:
-            continue
-        membership.ledger_put(key, True, epoch=epoch0)
-        return
-
-
-def _barrier_survivors(comm: Comm, membership, inst: int, epoch0: int):
-    ranks = membership.view(epoch0)
-    me = comm.rank
-    if me not in ranks:  # pragma: no cover - dead ranks' processes are killed
-        raise _EpochChanged()
-    n = len(ranks)
-    if n <= 1:
-        return
-    restart = _adoption_check(membership, ("barrier", inst), epoch0)
-    vrank = ranks.index(me)
-    chan = 2 * inst + 1
-    distance = 1
-    round_no = 0
-    while distance < n:
-        tag = _chaos_tag(chan, epoch0, round_no)
-        yield from comm.send(
-            ranks[(vrank + distance) % n], None, tag=tag, payload_bytes=0
-        )
-        yield from _resilient_recv(
-            comm, membership, ranks[(vrank - distance) % n], tag, epoch0, restart
-        )
-        distance *= 2
-        round_no += 1
+    yield from _resilient(
+        comm, membership, key,
+        lambda epoch0: _survivor_run(
+            comm, membership, key, 2 * inst + 1, epoch0, schedule.dissemination
+        ),
+    )

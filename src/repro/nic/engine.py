@@ -15,6 +15,11 @@ the three stages of the combined fence+barrier among themselves:
 3. a node-level barrier (dissemination or tree), after which each hosted
    rank's completion event is written back over DMA.
 
+Stages 1 and 3 are the :mod:`repro.mp.schedule` step lists of the node
+(``recursive_doubling`` + ``dissemination``, or ``tree`` with radix 2
+for both), run over NIC frames whose phase label names the stage and
+round.
+
 Every protocol step charges ``nic_proc_us``; host<->NIC crossings charge
 ``nic_doorbell_us`` / ``nic_dma_us`` (+ per-byte).  NIC-to-NIC frames ride
 the ordinary fabric — including the fault injector and the reliable
@@ -29,8 +34,9 @@ never request the NIC path construct nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List
+from typing import TYPE_CHECKING, Any, Dict
 
+from ..mp import schedule
 from ..mp.vec import as_vec, vec_add
 from ..net.message import nic_endpoint
 from ..sim.core import Event
@@ -53,7 +59,7 @@ class NicFrame:
     phase: str
     src_node: int
     #: Vector payload (a numpy array, never mutated once sent).
-    values: Any = None
+    payload: Any = None
 
 
 class _EpochState:
@@ -275,10 +281,8 @@ class NicEngine:
             )
 
         # Stage 1: elementwise sum over nodes.
-        if p.nic_algorithm == "tree":
-            totals = yield from self._tree_sum(epoch, partial)
-        else:
-            totals = yield from self._exchange_sum(epoch, partial)
+        (stage1, s1_phases), (stage3, s3_phases) = self._schedules()
+        totals = yield from self._run_frames(epoch, stage1, s1_phases, partial)
         state.totals = totals
 
         # Stage 2: wait on the op_done mirror for every hosted rank.
@@ -293,10 +297,7 @@ class NicEngine:
             )
 
         # Stage 3: node-level barrier among the NICs.
-        if p.nic_algorithm == "tree":
-            yield from self._tree_barrier(epoch)
-        else:
-            yield from self._dissemination_barrier(epoch)
+        yield from self._run_frames(epoch, stage3, s3_phases)
 
         # Release: DMA the completion back to each hosted rank.  Committing
         # first means a view change landing inside the DMA window still
@@ -362,71 +363,34 @@ class NicEngine:
         )
         return envelope.payload
 
-    # -- stage-1 / stage-3 algorithms ----------------------------------------
+    # -- stage-1 / stage-3 schedules -----------------------------------------
 
-    def _exchange_sum(self, epoch: int, vec):
-        """Recursive-doubling elementwise sum over nodes (non-pow2 folds)."""
+    def _schedules(self):
+        """``(steps, phase labels)`` of stage 1 and of stage 3.
+
+        Labels are distinct per (stage, round): frames are matched, and
+        ordered by the happens-before engine, on ``(epoch, phase, node)``.
+        """
         nodes = self.topology.nnodes
-        me = self.node
-        if nodes == 1:
-            return vec
-        pow2 = 1 << (nodes.bit_length() - 1)
-        rem = nodes - pow2
-        if me >= pow2:
-            yield from self._send_frame(epoch, "s1-fold", me - pow2, vec)
-            frame = yield from self._recv_frame(epoch, "s1-res", me - pow2)
-            return frame.values
-        if me < rem:
-            frame = yield from self._recv_frame(epoch, "s1-fold", me + pow2)
-            vec = vec_add(vec, frame.values)
-        dist, phase = 1, 0
-        while dist < pow2:
-            peer = me ^ dist
-            yield from self._send_frame(epoch, f"s1-x{phase}", peer, vec)
-            frame = yield from self._recv_frame(epoch, f"s1-x{phase}", peer)
-            vec = vec_add(vec, frame.values)
-            dist <<= 1
-            phase += 1
-        if me < rem:
-            yield from self._send_frame(epoch, "s1-res", me + pow2, vec)
-        return vec
+        if self.params.nic_algorithm == "tree":
+            steps = schedule.tree(self.node, nodes, 2)
+            return (steps, ("t-up", "t-dn")), (steps, ("t-rdy", "t-go"))
+        core = nodes.bit_length() - 1
+        fold = nodes > 1 << core
+        s1 = ["s1-fold"] * fold + [f"s1-x{k}" for k in range(core)] + ["s1-res"] * fold
+        s3 = [f"s3-d{r}" for r in range((nodes - 1).bit_length())]
+        return (
+            (schedule.recursive_doubling(self.node, nodes), s1),
+            (schedule.dissemination(self.node, nodes), s3),
+        )
 
-    def _dissemination_barrier(self, epoch: int):
-        nodes = self.topology.nnodes
-        me = self.node
-        dist, phase = 1, 0
-        while dist < nodes:
-            yield from self._send_frame(epoch, f"s3-d{phase}", (me + dist) % nodes)
-            yield from self._recv_frame(epoch, f"s3-d{phase}", (me - dist) % nodes)
-            dist <<= 1
-            phase += 1
+    def _run_frames(self, epoch: int, steps, phases, vec=None):
+        """Run ``steps`` over NIC frames labelled ``phases[round]``."""
 
-    def _children(self) -> List[int]:
-        nodes = self.topology.nnodes
-        return [c for c in (2 * self.node + 1, 2 * self.node + 2) if c < nodes]
+        def send(peer, rnd, values):
+            return self._send_frame(epoch, phases[rnd], peer, values)
 
-    def _tree_sum(self, epoch: int, vec):
-        """Binary combining tree (heap order, root = node 0): up then down."""
-        me = self.node
-        for child in self._children():
-            frame = yield from self._recv_frame(epoch, "t-up", child)
-            vec = vec_add(vec, frame.values)
-        if me != 0:
-            parent = (me - 1) // 2
-            yield from self._send_frame(epoch, "t-up", parent, vec)
-            frame = yield from self._recv_frame(epoch, "t-dn", parent)
-            vec = frame.values
-        for child in self._children():
-            yield from self._send_frame(epoch, "t-dn", child, vec)
-        return vec
+        def recv(peer, rnd):
+            return self._recv_frame(epoch, phases[rnd], peer)
 
-    def _tree_barrier(self, epoch: int):
-        me = self.node
-        for child in self._children():
-            yield from self._recv_frame(epoch, "t-rdy", child)
-        if me != 0:
-            parent = (me - 1) // 2
-            yield from self._send_frame(epoch, "t-rdy", parent)
-            yield from self._recv_frame(epoch, "t-go", parent)
-        for child in self._children():
-            yield from self._send_frame(epoch, "t-go", child)
+        return schedule.run(steps, vec, send, recv)

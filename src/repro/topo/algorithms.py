@@ -30,9 +30,16 @@ completion, synchronize — and the same fence-inclusion guarantee:
   Stage 2 stays per-rank: every rank polls its own server's
   ``op_done`` counter.
 
-All three run over the :class:`~repro.mp.comm.Comm` point-to-point layer
-(so link faults and the reliable delivery layer apply unchanged) and are
-only entered crash-free: under an active membership service
+Each is a short composition of the :mod:`repro.mp.schedule` builders,
+run over the :class:`~repro.mp.comm.Comm` point-to-point layer by
+:func:`~repro.mp.collectives.run_on_comm` (so link faults and the
+reliable delivery layer apply unchanged): ``kary`` runs one ``tree``
+schedule twice (summing, then as a barrier); ``dissemination`` runs the
+``dissemination`` sum and barrier; ``twolevel`` runs
+``recursive_doubling`` and ``dissemination`` over the leaders between
+its intra-node gather and release.  Stage 2 is
+:func:`repro.armci.barrier._stage2_wait` for all three.  They are only
+entered crash-free: under an active membership service
 ``armci_barrier`` routes every host algorithm to the resilient exchange,
 exactly as it does for ``linear``.  SPMD call order is assumed; a
 per-Armci sequence number (``_topo_barrier_seq``) keeps successive
@@ -42,9 +49,11 @@ stage inside one barrier.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING
 
-from ..mp import collectives
+from ..armci.barrier import _stage2_wait
+from ..mp import collectives, schedule
+from ..mp.collectives import _tag, run_on_comm
 from ..mp.vec import as_vec, vec_add
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,9 +75,9 @@ _R_SIGNAL = 33
 _R_STAGE3 = 34
 _R_RELEASE = 63
 
-
-def _tag(base: int, seq: int, round_no: int) -> int:
-    return base + (seq % 4096) * 64 + round_no
+#: The tag round of each schedule round, in stage 1 and in stage 3.
+_STAGE1_ROUNDS = range(_R_ALLREDUCE, _R_SCATTER)
+_STAGE3_ROUNDS = range(_R_STAGE3, _R_RELEASE)
 
 
 def _bump_seq(armci: "Armci") -> int:
@@ -77,184 +86,32 @@ def _bump_seq(armci: "Armci") -> int:
     return seq
 
 
-def _stage2_wait(armci: "Armci", target: int):
-    """Per-rank stage 2: poll the local server's op_done counter.
-
-    Identical contract to the flat exchange's stage 2, including the
-    watchdog degrade to the conservative AllFence path.
-    """
-    from ..armci.barrier import _stage2_wait_with_watchdog
-
-    region, addr = armci.server.op_done_cell(armci.rank)
-    watchdog_us = armci.params.watchdog_timeout_us
-    if watchdog_us > 0.0:
-        done = yield from _stage2_wait_with_watchdog(
-            armci, region, addr, target, watchdog_us
-        )
-        if not done:
-            from ..armci import fence as fence_mod
-
-            armci.stats["barrier_fallbacks"] = (
-                armci.stats.get("barrier_fallbacks", 0) + 1
-            )
-            yield from fence_mod.allfence_linear(armci)
-    else:
-        yield from region.wait_until(
-            addr, lambda v: v >= target, poll_detect_us=armci.params.poll_detect_us
-        )
-
-
-# -- generic subset collectives ----------------------------------------------------
-
-
-def _allreduce_over(
-    comm,
-    values: Sequence,
-    ranks: Sequence[int],
-    base: int,
-    seq: int,
-    round0: int,
-):
-    """Recursive-doubling elementwise sum over the ``ranks`` subset.
-
-    Mirrors :func:`repro.mp.collectives.allreduce_sum` (power-of-two
-    core plus fold for the remainder), but over an arbitrary agreed rank
-    list — the leaders of the two-level barrier.  Only members call it.
-    """
-    n = len(ranks)
-    acc = as_vec(values)
-    if n == 1:
-        return acc
-    vrank = ranks.index(comm.rank)
-    nbytes = 8 * len(acc)
-
-    pof2 = 1
-    while pof2 * 2 <= n:
-        pof2 *= 2
-    rem = n - pof2
-
-    round_no = round0
-    in_core = True
-    if rem:
-        if vrank >= pof2:
-            yield from comm.send(
-                ranks[vrank - pof2], acc,
-                tag=_tag(base, seq, round_no), payload_bytes=nbytes,
-            )
-            in_core = False
-        elif vrank < rem:
-            msg = yield from comm.recv(
-                source=ranks[vrank + pof2], tag=_tag(base, seq, round_no)
-            )
-            acc = vec_add(acc, msg.payload)
-        round_no += 1
-
-    x = 1
-    while x < pof2:
-        if in_core:
-            partner = ranks[vrank ^ x]
-            msg = yield from comm.sendrecv(
-                partner, acc, tag=_tag(base, seq, round_no), payload_bytes=nbytes
-            )
-            acc = vec_add(acc, msg.payload)
-        x *= 2
-        round_no += 1
-
-    if rem:
-        tag = _tag(base, seq, round_no)
-        if vrank < rem:
-            yield from comm.send(
-                ranks[vrank + pof2], acc, tag=tag, payload_bytes=nbytes
-            )
-        elif vrank >= pof2:
-            msg = yield from comm.recv(source=ranks[vrank - pof2], tag=tag)
-            acc = msg.payload
-    return acc
-
-
-def _barrier_over(comm, ranks: Sequence[int], base: int, seq: int, round0: int):
-    """Dissemination barrier over the ``ranks`` subset."""
-    n = len(ranks)
-    if n <= 1:
-        return
-    vrank = ranks.index(comm.rank)
-    distance = 1
-    round_no = round0
-    while distance < n:
-        tag = _tag(base, seq, round_no)
-        yield from comm.sendrecv(
-            ranks[(vrank + distance) % n],
-            None,
-            source=ranks[(vrank - distance) % n],
-            tag=tag,
-            payload_bytes=0,
-        )
-        distance *= 2
-        round_no += 1
-
-
 # -- k-ary combining tree ----------------------------------------------------------
-
-
-def _kary_children(rank: int, radix: int, nprocs: int) -> List[int]:
-    first = radix * rank + 1
-    return list(range(first, min(first + radix, nprocs)))
 
 
 def kary_sync(armci: "Armci"):
     """Three-stage barrier over a k-ary combining tree rooted at rank 0."""
     comm = armci.comm
     rank = armci.rank
-    n = armci.nprocs
-    radix = armci.params.tree_radix
     seq = _bump_seq(armci)
     monitor = armci._monitor
     if monitor is not None:
         # All-to-all dependence holds (it is a full barrier), so joining
         # every enter at each exit is sound for the happens-before engine.
         monitor.emit("coll_enter", coll="kary", epoch=seq)
-    children = _kary_children(rank, radix, n)
-    parent = (rank - 1) // radix
-    nbytes = 8 * n
+    steps = schedule.tree(rank, armci.nprocs, armci.params.tree_radix)
 
-    # Stage 1a: reduce op_init vectors up the tree.
-    acc = as_vec(armci.op_init)
-    for child in children:
-        msg = yield from comm.recv(
-            source=child, tag=_tag(_TAG_KARY, seq, _R_GATHER)
-        )
-        acc = vec_add(acc, msg.payload)
-    if rank != 0:
-        yield from comm.send(
-            parent, acc, tag=_tag(_TAG_KARY, seq, _R_GATHER), payload_bytes=nbytes
-        )
-        # Stage 1b: totals come back down.
-        msg = yield from comm.recv(
-            source=parent, tag=_tag(_TAG_KARY, seq, _R_ALLREDUCE)
-        )
-        totals = msg.payload
-    else:
-        totals = acc
-    for child in children:
-        yield from comm.send(
-            child, totals, tag=_tag(_TAG_KARY, seq, _R_ALLREDUCE), payload_bytes=nbytes
-        )
-
+    # Stage 1: reduce op_init vectors up the tree, totals come back down.
+    totals = yield from run_on_comm(
+        comm, steps, as_vec(armci.op_init), _TAG_KARY, seq,
+        rounds=(_R_GATHER, _R_ALLREDUCE),
+    )
     # Stage 2: local completion.
     yield from _stage2_wait(armci, int(totals[rank]))
-
     # Stage 3: zero-byte gather + release over the same tree.
-    for child in children:
-        yield from comm.recv(source=child, tag=_tag(_TAG_KARY, seq, _R_STAGE3))
-    if rank != 0:
-        yield from comm.send(
-            parent, None, tag=_tag(_TAG_KARY, seq, _R_STAGE3), payload_bytes=0
-        )
-        yield from comm.recv(source=parent, tag=_tag(_TAG_KARY, seq, _R_RELEASE))
-    for child in children:
-        yield from comm.send(
-            child, None, tag=_tag(_TAG_KARY, seq, _R_RELEASE), payload_bytes=0
-        )
+    yield from run_on_comm(
+        comm, steps, None, _TAG_KARY, seq, rounds=(_R_STAGE3, _R_RELEASE)
+    )
     if monitor is not None:
         monitor.emit("coll_exit", coll="kary", epoch=seq)
 
@@ -280,22 +137,10 @@ def dissemination_sync(armci: "Armci"):
     if n & (n - 1):
         totals = yield from collectives.allreduce_sum(comm, armci.op_init)
     else:
-        acc = as_vec(armci.op_init)
-        nbytes = 8 * n
-        distance = 1
-        round_no = _R_ALLREDUCE
-        while distance < n:
-            msg = yield from comm.sendrecv(
-                (rank + distance) % n,
-                acc,
-                source=(rank - distance) % n,
-                tag=_tag(_TAG_DISSEM, seq, round_no),
-                payload_bytes=nbytes,
-            )
-            acc = vec_add(acc, msg.payload)
-            distance *= 2
-            round_no += 1
-        totals = acc
+        totals = yield from run_on_comm(
+            comm, schedule.dissemination(rank, n), as_vec(armci.op_init),
+            _TAG_DISSEM, seq, rounds=_STAGE1_ROUNDS,
+        )
 
     yield from _stage2_wait(armci, int(totals[rank]))
 
@@ -334,8 +179,9 @@ def twolevel_sync(armci: "Armci"):
             msg = yield from comm.recv(tag=_tag(_TAG_TWOLEVEL, seq, _R_GATHER))
             acc = vec_add(acc, msg.payload)
         leaders = [topology.ranks_on(node)[0] for node in range(topology.nnodes)]
-        totals = yield from _allreduce_over(
-            comm, acc, leaders, _TAG_TWOLEVEL, seq, _R_ALLREDUCE
+        totals = yield from run_on_comm(
+            comm, schedule.recursive_doubling(armci.node, len(leaders)), acc,
+            _TAG_TWOLEVEL, seq, rounds=_STAGE1_ROUNDS, ranks=leaders,
         )
         for r in locals_:
             if r != leader:
@@ -359,8 +205,10 @@ def twolevel_sync(armci: "Armci"):
     if rank == leader:
         for _ in range(len(locals_) - 1):
             yield from comm.recv(tag=_tag(_TAG_TWOLEVEL, seq, _R_SIGNAL))
-        leaders = [topology.ranks_on(node)[0] for node in range(topology.nnodes)]
-        yield from _barrier_over(comm, leaders, _TAG_TWOLEVEL, seq, _R_STAGE3)
+        yield from run_on_comm(
+            comm, schedule.dissemination(armci.node, len(leaders)), None,
+            _TAG_TWOLEVEL, seq, rounds=_STAGE3_ROUNDS, ranks=leaders,
+        )
         for r in locals_:
             if r != leader:
                 yield from comm.send(

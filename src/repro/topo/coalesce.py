@@ -37,7 +37,6 @@ from ..armci.barrier import _level_link
 
 __all__ = [
     "intra_puts_charge_us",
-    "gather_charge_us",
     "local_round_charge_us",
     "vector_inflation_us",
     "coalesced_scale_workload",
@@ -67,11 +66,6 @@ def local_round_charge_us(params, ppn: int) -> float:
     delivery latency — the same formula ``estimate_twolevel_us`` prices.
     """
     return (ppn - 1) * (params.mp_call_us + params.shm_access_us) + params.intra_latency_us
-
-
-def gather_charge_us(params, ppn: int) -> float:
-    """Stage-1 intra-node gather of ``op_init`` vectors to the leader."""
-    return local_round_charge_us(params, ppn)
 
 
 def vector_inflation_us(params, nprocs: int, nnodes: int) -> float:
@@ -114,7 +108,7 @@ def coalesced_scale_workload(ctx, leaders_algorithm: str, cfg, ppn: int):
     # (the serialized leader work is the same total either side of the
     # inter-node phases, and stage 2 for virtual local ops is free: local
     # puts complete synchronously in shared memory).
-    pre_charge = gather_charge_us(params, ppn)
+    pre_charge = local_round_charge_us(params, ppn)
     post_charge = 3 * local_round_charge_us(params, ppn)
     inflation = vector_inflation_us(params, nprocs, nnodes)
     sw = ctx.stopwatch("ga_sync")

@@ -125,10 +125,8 @@ def sent_vectors(monkeypatch):
 
     def post(self, src, dst, payload, *args, **kwargs):
         vec = None
-        if isinstance(payload, MPMessage):
+        if isinstance(payload, (MPMessage, NicFrame)):
             vec = payload.payload
-        elif isinstance(payload, NicFrame):
-            vec = payload.values
         if isinstance(vec, np.ndarray):
             sent.append((vec, vec.copy()))
         return original(self, src, dst, payload, *args, **kwargs)

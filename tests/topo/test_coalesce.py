@@ -16,7 +16,6 @@ from repro.experiments.scalebench import ScaleBenchConfig, run_scalebench
 from repro.net.params import myrinet2000
 from repro.topo import two_level
 from repro.topo.coalesce import (
-    gather_charge_us,
     intra_puts_charge_us,
     local_round_charge_us,
     vector_inflation_us,
@@ -34,7 +33,7 @@ class TestCharges:
     def test_ppn_one_is_free(self):
         params = myrinet2000()
         assert intra_puts_charge_us(params, 1, 8) == 0.0
-        assert gather_charge_us(params, 1) == pytest.approx(
+        assert local_round_charge_us(params, 1) == pytest.approx(
             params.intra_latency_us
         )
 
