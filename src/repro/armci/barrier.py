@@ -38,9 +38,11 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from ..mp import collectives
+from ..mp import collectives, schedule
 from ..net.params import MSG_HEADER_BYTES, SMALL_MSG_BYTES
+from ..nic.engine import SLOT_BYTES, TREE_RADIX
 from ..sim.core import Event
+from ..topo.coalesce import local_round_charge_us
 
 if TYPE_CHECKING:  # pragma: no cover
     from .api import Armci
@@ -145,12 +147,41 @@ def armci_barrier(armci: "Armci", algorithm: str = "exchange"):
         monitor.emit("barrier_exit", epoch=epoch, **extra)
 
 
+def _round_us(params, calls: int, node_off: int, nbytes: int, convoy: int = 1) -> float:
+    """One round on the critical path: ``calls`` MPI calls, one delivery.
+
+    Same node (``node_off == 0``): a shared-memory queue access plus the
+    intra-node latency.  Otherwise the send and receive overheads, the
+    latency of the level crossed to the node ``node_off`` away, and
+    ``convoy`` messages of ``nbytes`` serializing on one NIC.
+    """
+    if node_off == 0:
+        wire = params.shm_access_us + params.intra_latency_us
+    else:
+        lat, per_byte = params.link(0, node_off)
+        xfer = convoy * (nbytes + MSG_HEADER_BYTES) * per_byte
+        wire = params.o_send_us + xfer + lat + params.o_recv_us
+    return calls * params.mp_call_us + wire
+
+
+def _rounds(n: int):
+    """Rank distances of the ``ceil(log2 n)`` exchange rounds (docs/model.md)."""
+    return schedule.peer_distances(schedule.dissemination(0, n))
+
+
+def _stages_us(params, nprocs: int, distances, hop) -> float:
+    """Stage 1 (totals vector) + stage-2 poll + stage 3 (control message);
+    ``hop(distance, nbytes)`` prices one round of either."""
+    vec = schedule.fold(lambda d: hop(d, 8 * nprocs), distances)
+    ctl = schedule.fold(lambda d: hop(d, SMALL_MSG_BYTES), distances)
+    return vec + params.poll_detect_us + ctl
+
+
 def _mp_barrier_estimate_us(params, nprocs: int) -> float:
-    """Handbook cost of the log2(N)-phase message-passing barrier."""
-    if nprocs < 2:
-        return 0.0
-    phases = math.ceil(math.log2(nprocs))
-    return phases * (2 * params.mp_call_us + params.one_way(SMALL_MSG_BYTES))
+    """Handbook cost of the log2(N)-phase message-passing barrier, at the
+    flat one-way time whatever the hierarchy (as is the AllFence before it)."""
+    hop = 2 * params.mp_call_us + params.one_way(SMALL_MSG_BYTES)
+    return schedule.fold(lambda d: hop, _rounds(nprocs))
 
 
 def estimate_linear_us(params, nprocs: int, dirty_count: int) -> float:
@@ -175,63 +206,21 @@ def estimate_linear_us(params, nprocs: int, dirty_count: int) -> float:
     )
 
 
-def _level_link(params, node_a: int, node_b: int):
-    """Analytic ``(latency_us, per_byte_us)`` for a node pair's link.
-
-    Resolves the pair's crossing level when a hierarchy is configured;
-    flat params return the single inter-node figures.  Same-node pairs
-    are the caller's responsibility (intra-node costs differ in kind).
-    """
-    h = params.hierarchy
-    if h is None or node_a == node_b:
-        return params.inter_latency_us, params.per_byte_us
-    lat, per_byte = h.resolve(params.inter_latency_us, params.per_byte_us)
-    level = h.crossing_level(node_a, node_b)
-    return lat[level], per_byte[level]
-
-
 def estimate_exchange_us(params, nprocs: int, ppn: int = 1) -> float:
     """Analytic estimate of the host three-stage barrier (µs).
 
-    The default (flat, one rank per node) keeps the exact historical
-    closed form, so existing auto-selections are byte-identical.  With
-    ``ppn > 1`` or a hierarchy, each phase is priced from the partner
-    distance: phases below ``ppn`` stay intra-node; inter-node phases
-    charge the crossing level's latency and — the effect that dominates
-    at scale — the convoy of ``ppn`` per-rank vectors serializing on
-    each node's one NIC.
+    Each exchange round is priced from the partner distance: rounds
+    below ``ppn`` stay intra-node; inter-node rounds charge the crossing
+    level's latency and — the effect that dominates at scale — the
+    convoy of ``ppn`` per-rank vectors serializing on each node's one
+    NIC.  One rank per node on a flat network gives the historical
+    closed form, bit for bit.
     """
-    vec_bytes = 8 * nprocs
-    if ppn <= 1 and params.hierarchy is None:
-        allreduce = 0.0
-        if nprocs >= 2:
-            phases = math.ceil(math.log2(nprocs))
-            allreduce = phases * (2 * params.mp_call_us + params.one_way(vec_bytes))
-        stage2 = params.poll_detect_us
-        return allreduce + stage2 + _mp_barrier_estimate_us(params, nprocs)
     ppn = max(1, ppn)
-    total = params.poll_detect_us
-    for stage_bytes in (vec_bytes, SMALL_MSG_BYTES):
-        distance = 1
-        while distance < nprocs:
-            if distance < ppn:
-                total += (
-                    2 * params.mp_call_us
-                    + params.shm_access_us
-                    + params.intra_latency_us
-                )
-            else:
-                lat, per_byte = _level_link(params, 0, distance // ppn)
-                xfer = ppn * (stage_bytes + MSG_HEADER_BYTES) * per_byte
-                total += (
-                    2 * params.mp_call_us
-                    + params.o_send_us
-                    + xfer
-                    + lat
-                    + params.o_recv_us
-                )
-            distance *= 2
-    return total
+    return _stages_us(
+        params, nprocs, _rounds(nprocs),
+        lambda d, nbytes: _round_us(params, 2, d // ppn, nbytes, ppn),
+    )
 
 
 def estimate_dissemination_us(params, nprocs: int, ppn: int = 1) -> float:
@@ -241,118 +230,76 @@ def estimate_dissemination_us(params, nprocs: int, ppn: int = 1) -> float:
     cross a node boundary in *every* round (the critical path), with up
     to ``min(d, ppn)`` vectors convoying per NIC.
     """
-    if nprocs < 2:
-        return params.poll_detect_us
     ppn = max(1, ppn)
-    vec_bytes = 8 * nprocs
-    total = params.poll_detect_us
-    for stage_bytes in (vec_bytes, SMALL_MSG_BYTES):
-        distance = 1
-        while distance < nprocs:
-            node_off = max(1, distance // ppn)
-            lat, per_byte = _level_link(params, 0, node_off)
-            xfer = min(distance, ppn) * (stage_bytes + MSG_HEADER_BYTES) * per_byte
-            total += (
-                2 * params.mp_call_us
-                + params.o_send_us
-                + xfer
-                + lat
-                + params.o_recv_us
-            )
-            distance *= 2
-    return total
+    return _stages_us(
+        params, nprocs, _rounds(nprocs),
+        lambda d, nbytes: _round_us(params, 2, max(1, d // ppn), nbytes, min(d, ppn)),
+    )
 
 
 def estimate_kary_us(params, nprocs: int, ppn: int = 1) -> float:
     """Analytic estimate of the k-ary combining-tree barrier (µs).
 
-    Per tree tier: the parent serializes ``k`` receives (reduce) and
-    ``k`` sends (broadcast) of the totals vector, then the same shape on
-    control messages for stage 3.  Tiers whose subtree fits in one SMP
-    node ride the intra-node queue.
+    One charge per tier of the tree's deepest path: the parent
+    serializes ``k`` receives of the totals vector and one send up
+    (reduce), then one receive and ``k`` sends down (broadcast); the
+    same shape on control messages for stage 3.  Tiers whose subtree
+    fits in one SMP node ride the intra-node queue.
     """
-    if nprocs < 2:
-        return params.poll_detect_us
     ppn = max(1, ppn)
     k = params.tree_radix
-    vec = 8 * nprocs + MSG_HEADER_BYTES
-    ctl = SMALL_MSG_BYTES + MSG_HEADER_BYTES
-    total = params.poll_detect_us
-    span = 1
-    while span < nprocs:
-        node_off = span // ppn
-        if node_off == 0:
-            hop_lat = params.intra_latency_us + params.shm_access_us
-            vec_xfer = 0.0
-            ctl_xfer = 0.0
-        else:
-            lat, per_byte = _level_link(params, 0, node_off)
-            hop_lat = lat + params.o_send_us + params.o_recv_us
-            vec_xfer = vec * per_byte
-            ctl_xfer = ctl * per_byte
-        total += 2 * (k + 1) * params.mp_call_us + 2 * (k * vec_xfer + hop_lat)
-        total += 2 * (k + 1) * params.mp_call_us + 2 * (k * ctl_xfer + hop_lat)
-        span *= k
-    return total
+    return _stages_us(
+        params, nprocs, schedule.tree_path(nprocs, k),
+        lambda d, nbytes: 2 * _round_us(params, k + 1, d // ppn, nbytes, k),
+    )
 
 
 def estimate_twolevel_us(params, nprocs: int, ppn: int = 1) -> float:
     """Analytic estimate of the two-level leader barrier (µs).
 
-    Intra-node phases are bounded by the leader serializing ``ppn - 1``
-    queue operations; the inter-node exchange and stage-3 barrier run
-    over one leader per node — a single vector per NIC, no convoy.
+    Four intra-node leader rounds (gather and scatter around stage 1,
+    signal and release around stage 3); the inter-node exchange and
+    stage-3 barrier run over one leader per node — a single vector per
+    NIC, no convoy.
     """
     ppn = max(1, ppn)
     nnodes = math.ceil(nprocs / ppn)
-    vec = 8 * nprocs + MSG_HEADER_BYTES
-    ctl = SMALL_MSG_BYTES + MSG_HEADER_BYTES
-    local_hop = params.mp_call_us + params.shm_access_us
-    local_round = (ppn - 1) * local_hop + params.intra_latency_us
-    # gather + scatter (stage 1) and signal + release (stage 3).
-    total = 4 * local_round + params.poll_detect_us
-    for stage_bytes in (vec, ctl):
-        distance = 1
-        while distance < nnodes:
-            lat, per_byte = _level_link(params, 0, distance)
-            total += (
-                2 * params.mp_call_us
-                + params.o_send_us
-                + stage_bytes * per_byte
-                + lat
-                + params.o_recv_us
-            )
-            distance *= 2
-    return total
+    return 4 * local_round_charge_us(params, ppn) + _stages_us(
+        params, nprocs, _rounds(nnodes),
+        lambda d, nbytes: _round_us(params, 2, d, nbytes),
+    )
 
 
 def estimate_nic_us(params, nprocs: int, nnodes: int, ppn: int = 1) -> float:
     """Analytic estimate of the NIC-offloaded barrier (µs).
 
-    Doorbell + DMA down, per-hosted-rank NIC folds, two log2(nnodes)
-    frame waves (sum + barrier) at NIC processing cost instead of host
-    MPI calls, and the completion DMA back up.
+    Doorbell + DMA down, per-hosted-rank NIC folds, the engine's stage-1
+    and stage-3 schedules over nodes at NIC processing cost instead of
+    host MPI calls, and the completion DMA back up.  A tree tier is
+    charged up and down, its parent handling ``TREE_RADIX`` frames and
+    its own parent's each way.
     """
-    vec_bytes = 8 * nprocs
+    vec_bytes = SLOT_BYTES * nprocs
     doorbell = (
         params.nic_doorbell_us
         + params.nic_dma_us
         + vec_bytes * params.nic_dma_per_byte_us
     )
-    hop_v = (
-        2 * params.nic_proc_us
-        + params.xfer_time(vec_bytes + MSG_HEADER_BYTES)
-        + params.nic_wire_latency_us
-    )
-    hop_c = (
-        2 * params.nic_proc_us
-        + params.xfer_time(8 + MSG_HEADER_BYTES)
-        + params.nic_wire_latency_us
-    )
-    phases = math.ceil(math.log2(nnodes)) if nnodes >= 2 else 0
+    if params.nic_algorithm == "tree":
+        calls, convoy, ways = TREE_RADIX + 1, TREE_RADIX, 2
+        distances = schedule.tree_path(nnodes, TREE_RADIX)
+    else:
+        calls, convoy, ways, distances = 2, 1, 1, _rounds(nnodes)
+
+    def frames(nbytes):  # one round of one stage
+        xfer = convoy * params.xfer_time(nbytes + MSG_HEADER_BYTES)
+        return calls * params.nic_proc_us + xfer + params.nic_wire_latency_us
+
+    # Both stages run the same schedule: price a round of each together.
+    hop = ways * (frames(vec_bytes) + frames(SLOT_BYTES))
     local = 3 * ppn * params.nic_proc_us  # fold + mirror check + release
     release = params.nic_dma_us + params.poll_detect_us
-    return doorbell + local + phases * (hop_v + hop_c) + release
+    return doorbell + local + schedule.fold(lambda d: hop, distances) + release
 
 
 def predicted_crossover_targets(params, nprocs: int) -> int:
@@ -376,18 +323,18 @@ def _auto_select(armci: "Armci") -> str:
     nprocs = armci.nprocs
     topology = armci.topology
     ppn = max(len(topology.ranks_on(n)) for n in range(topology.nnodes))
+    hierarchy = params.hierarchy is not None
     estimates = {
         "linear": estimate_linear_us(params, nprocs, len(armci.dirty_nodes)),
-        "exchange": estimate_exchange_us(params, nprocs),
+        "exchange": estimate_exchange_us(params, nprocs, ppn if hierarchy else 1),
     }
     if params.nic_offload:
         estimates["nic"] = estimate_nic_us(params, nprocs, topology.nnodes, ppn)
-    if params.hierarchy is not None:
+    if hierarchy:
         # Topology-aware candidates join the comparison only under a
         # hierarchy, so flat auto-selections stay byte-identical.  ppn
         # and the hierarchy are globally agreed, preserving the
         # symmetric-decision contract.
-        estimates["exchange"] = estimate_exchange_us(params, nprocs, ppn=ppn)
         estimates["kary"] = estimate_kary_us(params, nprocs, ppn=ppn)
         estimates["dissemination"] = estimate_dissemination_us(
             params, nprocs, ppn=ppn

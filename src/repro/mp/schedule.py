@@ -1,4 +1,4 @@
-"""Collective schedules as data: three builders and one executor.
+"""Collective schedules as data: three builders and two interpreters.
 
 Every combining collective in the repository — the host allreduce and
 barrier (:mod:`repro.mp.collectives`), the topology-aware barriers
@@ -29,11 +29,16 @@ key a message on its round.
 tags or frame labels.  A payload of ``None`` makes the run a barrier;
 any other payload makes it an elementwise sum through
 :func:`~repro.mp.vec.vec_add`.
+
+:func:`fold` prices a schedule instead: the cost estimates of
+:mod:`repro.armci.barrier` sum a ``hop(distance)`` over rank 0's peer
+distances (:func:`peer_distances`) or a tree's depth (:func:`tree_path`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Tuple
+import math
+from typing import Any, Callable, Iterable, List, Tuple
 
 from .vec import vec_add
 
@@ -46,6 +51,9 @@ __all__ = [
     "dissemination",
     "tree",
     "run",
+    "peer_distances",
+    "tree_path",
+    "fold",
 ]
 
 SEND = "send"
@@ -123,3 +131,35 @@ def run(steps: List[Step], acc: Any, send: Callable, recv: Callable):
         if acc is not None:
             acc = msg.payload if op == RECV_SET else vec_add(acc, msg.payload)
     return acc
+
+
+def peer_distances(steps: List[Step]) -> List[int]:
+    """Rank 0's distance to each step's peer (a send-receive's send peer);
+    ``2**r`` in round ``r`` of :func:`dissemination`."""
+    return [peer[0] if op == SEND_RECV_ADD else peer for op, peer, _ in steps]
+
+
+def tree_path(n: int, radix: int) -> List[int]:
+    """Edge distances down the leftmost root-to-leaf path of :func:`tree`.
+
+    Heap order fills levels left to right, so this path is a deepest one;
+    its tier-``t`` edge spans exactly ``radix**t`` ranks.
+    """
+    path: List[int] = []
+    vrank = 0
+    while True:
+        steps = tree(vrank, n, radix)
+        if not steps or steps[0][0] != RECV_ADD:
+            return path
+        child = steps[0][1]
+        path.append(child - vrank)
+        vrank = child
+
+
+def fold(hop: Callable[[int], float], distances: Iterable[int]) -> float:
+    """Analytic interpreter: one stage's cost, ``hop(d)`` summed per round.
+
+    The sum is :func:`math.fsum`, so ``k`` equal rounds cost exactly the
+    correctly rounded ``k * hop(d)``.
+    """
+    return math.fsum(map(hop, distances))

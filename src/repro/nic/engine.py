@@ -49,6 +49,8 @@ __all__ = ["NicEngine", "NicFrame", "ensure_engines"]
 
 #: Bytes per counter slot in a doorbell/frame vector (one long each).
 SLOT_BYTES = 8
+#: Radix of the node-level combining tree of ``nic_algorithm="tree"``.
+TREE_RADIX = 2
 
 
 @dataclass
@@ -373,7 +375,7 @@ class NicEngine:
         """
         nodes = self.topology.nnodes
         if self.params.nic_algorithm == "tree":
-            steps = schedule.tree(self.node, nodes, 2)
+            steps = schedule.tree(self.node, nodes, TREE_RADIX)
             return (steps, ("t-up", "t-dn")), (steps, ("t-rdy", "t-go"))
         core = nodes.bit_length() - 1
         fold = nodes > 1 << core

@@ -33,7 +33,7 @@ infeasible.
 
 from __future__ import annotations
 
-from ..armci.barrier import _level_link
+from ..mp import schedule
 
 __all__ = [
     "intra_puts_charge_us",
@@ -63,7 +63,7 @@ def local_round_charge_us(params, ppn: int) -> float:
 
     The leader serializes ``ppn - 1`` queue operations (an MPI-layer
     call plus the shared-memory access each), after one intra-node
-    delivery latency — the same formula ``estimate_twolevel_us`` prices.
+    delivery latency.  ``estimate_twolevel_us`` charges four of them.
     """
     return (ppn - 1) * (params.mp_call_us + params.shm_access_us) + params.intra_latency_us
 
@@ -71,18 +71,14 @@ def local_round_charge_us(params, ppn: int) -> float:
 def vector_inflation_us(params, nprocs: int, nnodes: int) -> float:
     """Serialization time the leaders' exchange saves by carrying
     per-node totals (length ``nnodes``) instead of per-rank totals
-    (length ``nprocs``): the per-phase byte difference priced at each
-    phase's crossing-level per-byte cost."""
+    (length ``nprocs``): the per-round byte difference priced at each
+    round's crossing-level per-byte cost, over the ``ceil(log2 nnodes)``
+    rounds ``estimate_twolevel_us`` charges the leaders."""
     extra_bytes = 8 * (nprocs - nnodes)
-    if extra_bytes <= 0:
-        return 0.0
-    total = 0.0
-    distance = 1
-    while distance < nnodes:
-        _lat, per_byte = _level_link(params, 0, distance)
-        total += extra_bytes * per_byte
-        distance *= 2
-    return total
+    return schedule.fold(
+        lambda d: extra_bytes * params.link(0, d)[1],
+        schedule.peer_distances(schedule.dissemination(0, nnodes)),
+    )
 
 
 def coalesced_scale_workload(ctx, leaders_algorithm: str, cfg, ppn: int):
