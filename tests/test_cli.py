@@ -1,8 +1,18 @@
 """CLI smoke tests."""
 
+import argparse
+
 import pytest
 
 from repro.cli import main
+
+
+def assert_one_line_error(capsys, phrase):
+    """The CLI's user-input error shape: one stderr line, no traceback."""
+    err = capsys.readouterr().err
+    assert err.startswith("armci-repro: error: ")
+    assert err.count("\n") == 1 and phrase in err
+    assert "Traceback" not in err
 
 
 class TestCli:
@@ -32,14 +42,14 @@ class TestCli:
                      "--network", "quadrics"]) == 0
         assert "Figure 7" in capsys.readouterr().out
 
-    def test_bad_network_preset(self):
-        with pytest.raises(ValueError, match="unknown network preset"):
-            main(["fig7", "--iterations", "2", "--procs", "2",
-                  "--network", "carrier-pigeon"])
+    def test_bad_network_preset(self, capsys):
+        assert main(["fig7", "--iterations", "2", "--procs", "2",
+                     "--network", "carrier-pigeon"]) == 2
+        assert_one_line_error(capsys, "unknown network preset")
 
-    def test_bad_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["fig99"])
+    def test_bad_experiment_rejected(self, capsys):
+        assert main(["fig99"]) == 2
+        assert_one_line_error(capsys, "invalid choice")
 
     def test_ppn_option(self, capsys):
         assert main(["fig8", "--iterations", "20", "--procs", "2",
@@ -87,9 +97,9 @@ class TestCheckCommand:
         assert "[ok] fig7[current]" in out and "[ok] fig7[new]" in out
         assert "FAIL" not in out
 
-    def test_check_unknown_target(self):
-        with pytest.raises(ValueError, match="unknown check target"):
-            main(["check", "fig99"])
+    def test_check_unknown_target(self, capsys):
+        assert main(["check", "fig99"]) == 2
+        assert_one_line_error(capsys, "unknown check target")
 
     def test_check_lint_mode(self, capsys):
         assert main(["check", "--lint"]) == 0
@@ -306,16 +316,12 @@ class TestCliRobustness:
         assert "--retry-timeout must be > 0" in capsys.readouterr().err
 
     def test_fault_seed_non_integer_is_argparse_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["faults", "--fault-seed", "seven"])
-        assert excinfo.value.code == 2
-        assert "invalid int value" in capsys.readouterr().err
+        assert main(["faults", "--fault-seed", "seven"]) == 2
+        assert_one_line_error(capsys, "invalid int value")
 
     def test_drop_rate_non_float_is_argparse_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["faults", "--drop-rate", "lossy"])
-        assert excinfo.value.code == 2
-        assert "invalid float value" in capsys.readouterr().err
+        assert main(["faults", "--drop-rate", "lossy"]) == 2
+        assert_one_line_error(capsys, "invalid float value")
 
 
 class TestFuzzCommand:
@@ -421,13 +427,13 @@ class TestMcCommand:
         assert main(["mc", "--schedule", str(path)]) == 0
         assert "[ok]" in capsys.readouterr().out
 
-    def test_schedule_rejects_foreign_json(self, tmp_path):
+    def test_schedule_rejects_foreign_json(self, capsys, tmp_path):
         import json
 
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "nope"}))
-        with pytest.raises(ValueError, match="not an RMCheck counterexample"):
-            main(["mc", "--schedule", str(path)])
+        assert main(["mc", "--schedule", str(path)]) == 2
+        assert_one_line_error(capsys, "not an RMCheck counterexample")
 
     def test_scenario_seed_exploration(self, capsys):
         assert main(
@@ -502,3 +508,171 @@ class TestScalebenchCommand:
         assert main(["scalebench", "--procs", "8", "16", "--iterations", "1",
                      "--time-budget", "0"]) == 0
         assert "wall budget" in capsys.readouterr().out
+
+
+# The CLI contract: the options each experiment's handler reads, and no
+# others.  Every flag appears here, so adding or renaming one shows up.
+_SWEEP = {"--procs", "--iterations", "--ppn"}
+_NET = {"--network", "--retry-timeout", "--drop-rate", "--fault-seed",
+        "--topo", "--radix"}
+_FIG7 = _SWEEP | _NET | {"--jobs", "--csv"}
+_LOCKS = _SWEEP | _NET | {"--csv"}
+ACCEPTS = {
+    "fig7": _FIG7,
+    "fig8": _LOCKS,
+    "fig9": _LOCKS,
+    "fig10": _LOCKS,
+    "locks": _LOCKS,
+    "ablations": _NET,
+    "app": _SWEEP | _NET,
+    "microbench": _NET,
+    "fairness": _NET | {"--procs", "--iterations"},
+    "faults": {"--network", "--retry-timeout", "--drop-rate", "--fault-seed",
+               "--procs", "--ppn"},
+    "chaos": {"--network", "--retry-timeout", "--procs", "--ppn", "--lock",
+              "--kill", "--kill-seed", "--partition", "--stall"},
+    "nic": _FIG7,
+    "scalebench": _FIG7 | {"--coalesce", "--time-budget", "--json-out"},
+    "all": _FIG7,
+    "fuzz": {"--seeds", "--start-seed", "--time-budget", "--replay",
+             "--no-shrink", "--self-test", "--self-test-budget", "--corpus",
+             "--json-out"},
+    "mc": {"--budget", "--window", "--cap", "--scenario", "--schedule",
+           "--ce-out", "--self-test", "--json-out"},
+    "validate": set(),
+    "check": {"--lint", "--strict"},
+}
+ALL_FLAGS = set().union(*ACCEPTS.values()) | {"--trace-out"}
+
+
+def _subparsers():
+    from repro.cli import _build_parser
+
+    parser = _build_parser()
+    [action] = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestCliBoundary:
+    """Foreign flags and malformed values: rc 2, one stderr line, no
+    simulation run."""
+
+    def test_flag_inventory(self):
+        assert len(ALL_FLAGS) == 35
+        subparsers = _subparsers()
+        assert set(subparsers) == set(ACCEPTS)
+        for name, sub in subparsers.items():
+            flags = {s for a in sub._actions for s in a.option_strings
+                     if s.startswith("--") and s != "--help"}
+            assert flags == ACCEPTS[name] | {"--trace-out"}, name
+        positionals = {name for name, sub in subparsers.items()
+                       if any(not a.option_strings for a in sub._actions)}
+        assert positionals == {"check", "mc"}
+
+    def test_every_foreign_flag_rejected(self):
+        from repro.cli import _build_parser, _CliError
+
+        parser = _build_parser()  # one parser for ~400 parses keeps this fast
+        for name, accepted in ACCEPTS.items():
+            for flag in sorted(ALL_FLAGS - accepted - {"--trace-out"}):
+                # FLAG=VALUE keeps the value from landing on a positional.
+                with pytest.raises(_CliError) as excinfo:
+                    parser.parse_args([name, f"{flag}=1"])
+                assert str(excinfo.value) == (
+                    f"unrecognized arguments: {flag}=1"
+                ), (name, flag)
+
+    @pytest.mark.parametrize(
+        "argv, phrase",
+        [
+            (["validate", "--budget", "5", "--seeds", "3", "--radix", "4"],
+             "unrecognized arguments: --budget 5 --seeds 3 --radix 4"),
+            (["chaos", "--drop-rate", "0.5"], "unrecognized arguments"),
+            (["chaos", "--topo", "banana", "--iterations", "3"],
+             "unrecognized arguments"),
+            (["faults", "--topo", "switch:2"], "unrecognized arguments"),
+            (["fairness", "--ppn", "2"], "unrecognized arguments"),
+            (["microbench", "--procs", "4"], "unrecognized arguments"),
+            (["locks", "--jobs", "2"], "unrecognized arguments"),
+            (["fairness", "--procs", "2", "4"], "unrecognized arguments: 4"),
+            (["faults", "--procs", "2", "4"], "unrecognized arguments: 4"),
+            (["chaos", "--procs", "2", "4", "8"],
+             "unrecognized arguments: 4 8"),
+            (["fig7", "--network", "bogus"], "unknown network preset"),
+            (["fig7", "--iterations", "0"], "--iterations must be >= 1"),
+            (["fig7", "--iterations=-1"], "--iterations must be >= 1"),
+            (["fig7", "--jobs", "-3"], "--jobs must be >= 0"),
+            (["fig7", "--procs", "2", "0"], "--procs must be >= 1"),
+            (["nic", "--ppn", "0"], "--ppn must be >= 1"),
+            (["fairness", "--procs", "0"], "--procs must be >= 1"),
+            (["fig7", "--procs", "two"], "invalid int value"),
+            (["fig7", "--radix", "1"], "--radix must be >= 2"),
+            (["app", "--topo", "switch:1"], "arity must be >= 2"),
+            (["fig7", "--drop-rate", "1.5"], "--drop-rate must be a probability"),
+            (["chaos", "--retry-timeout", "0"], "--retry-timeout must be > 0"),
+            (["chaos", "--lock", "bogus"], "unknown lock kind"),
+            (["chaos", "--kill", "banana"], "bad --kill spec"),
+            (["check", "fig99"], "unknown check target"),
+            (["check", "--radix", "4"], "unknown check target '4'"),
+            (["mc", "no-such-target"], "unknown mc target"),
+            (["mc", "--schedule", "/does/not/exist.json"], "No such file"),
+            (["fuzz", "--seeds", "0"], "--seeds must be >= 1"),
+            (["fig99"], "invalid choice"),
+            ([], "required"),
+        ],
+    )
+    def test_bad_value_is_one_line(self, capsys, argv, phrase):
+        assert main(argv) == 2
+        assert_one_line_error(capsys, phrase)
+
+    def test_documented_invocations_parse(self, tmp_path):
+        """Every ``python -m repro ...`` in the CI workflows and the verify
+        notes parses as written (parse only: nothing is simulated)."""
+        import re
+        import shlex
+        from pathlib import Path
+
+        from repro.cli import _build_parser
+
+        root = Path(__file__).resolve().parents[1]
+        commands = []
+        for path in sorted((root / ".github" / "workflows").glob("*.yml")):
+            commands += _workflow_commands(path.read_text())
+        notes = (root / ".claude" / "skills" / "verify" / "SKILL.md").read_text()
+        notes = re.sub(r"```.*?```", "", notes, flags=re.S)
+        commands += [" ".join(span.split())
+                     for span in re.findall(r"`([^`]+)`", notes)]
+        argvs = [shlex.split(cmd.split("python -m repro", 1)[1])
+                 for cmd in commands if "python -m repro " in cmd]
+        assert len(argvs) >= 30
+        for argv in argvs:
+            args = _build_parser().parse_args(argv)
+            assert callable(args.func), argv
+
+
+def _workflow_commands(text):
+    """The shell commands of a workflow's ``run:`` steps, with the matrix
+    and input expressions it uses expanded."""
+    import re
+
+    commands, lines = [], text.splitlines()
+    for i, line in enumerate(lines):
+        match = re.match(r"(\s*)(?:- )?run: (.*)", line)
+        if not match:
+            continue
+        indent, value = len(match.group(1)), match.group(2)
+        if value in (">", "|"):
+            body = []
+            for nxt in lines[i + 1:]:
+                if nxt.strip() and len(nxt) - len(nxt.lstrip()) <= indent:
+                    break
+                body.append(nxt.strip())
+            value = " ".join(body) if match.group(2) == ">" else "\n".join(body)
+        commands += value.splitlines()
+    commands = [re.sub(r"\$\{\{[^}]*\|\|\s*'([^']*)'\s*\}\}", r"\1", c)
+                for c in commands]
+    matrix = re.findall(r'- args: "([^"]*)"', text)
+    return [c.replace("${{ matrix.args }}", args)
+            for c in commands
+            for args in (matrix if "${{ matrix.args }}" in c else [""])]
